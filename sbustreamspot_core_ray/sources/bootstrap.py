@@ -1,6 +1,7 @@
 """S2: bootstrap-cluster reader (reference `io.cpp:134-164`).
 
-File format (see `/root/reference/test_bootstrap_clusters.txt`):
+File format (the reference's sample `test_bootstrap_clusters.txt`, committed
+as `tests/data/streamspot/test_bootstrap_clusters.txt`):
 line 1: ``<nclusters> <global_threshold>``; then one line per cluster:
 ``<threshold> <gid> <gid> ...``.
 

@@ -416,9 +416,10 @@ def renumber_seq(edges: ray.data.Dataset) -> ray.data.Dataset:
     return ray.data.from_arrow_refs(out)
 
 
-# The reference's 12-edge fixture (data, verbatim from
-# /root/reference/test_edges.txt): (src_id, src_type, dst_id, dst_type,
-# e_type, gid); arrival order = row order.
+# The reference's 12-edge fixture (data, verbatim from the reference's
+# sample file test_edges.txt; the same rows in its TSV format are committed
+# as tests/data/streamspot/test_edges.txt): (src_id, src_type, dst_id,
+# dst_type, e_type, gid); arrival order = row order.
 STREAMSPOT_FIXTURE = [
     (4, "a", 5, "b", "t", 0),
     (4, "a", 5, "b", "t", 1),

@@ -1,11 +1,32 @@
 import os
 import sys
+from typing import NamedTuple
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import ray  # noqa: E402
+
+STREAMSPOT_DATA_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "streamspot"
+)
+
+
+class StreamSpotFiles(NamedTuple):
+    edges: str
+    bootstrap: str
+
+
+@pytest.fixture(scope="session")
+def streamspot_files() -> StreamSpotFiles:
+    """The reference's two StreamSpot sample files, committed under
+    tests/data/streamspot/ (FIXTURES.md §2-3): the 12-edge TSV stream and
+    its 2-cluster bootstrap file."""
+    return StreamSpotFiles(
+        edges=os.path.join(STREAMSPOT_DATA_DIR, "test_edges.txt"),
+        bootstrap=os.path.join(STREAMSPOT_DATA_DIR, "test_bootstrap_clusters.txt"),
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -59,16 +59,17 @@ def test_interleave_groups_preserves_per_gid_order():
     assert out["gid"].tolist() == out2["gid"].tolist()
 
 
-def test_run_streamspot_reference_fixture(tmp_path):
-    """The CLI composition on the reference's own fixture files reproduces
-    the fixture pipeline: train gids {0,1} form the bootstrap clusters,
-    test gids {2,3}; gid 2 is (near-)identical to gid 1's graph and must
-    land in cluster 1 with the same scores as the pytest fixture path."""
+def test_run_streamspot_reference_fixture(tmp_path, streamspot_files):
+    """The CLI composition on the reference's own fixture files (committed
+    under tests/data/streamspot/) reproduces the fixture pipeline: train
+    gids {0,1} form the bootstrap clusters, test gids {2,3}; gid 2 is
+    (near-)identical to gid 1's graph and must land in cluster 1 with the
+    same scores as the pytest fixture path."""
     from sbustreamspot_core_ray.cli import run_streamspot
 
     res = run_streamspot(
-        "/root/reference/test_edges.txt",
-        "/root/reference/test_bootstrap_clusters.txt",
+        streamspot_files.edges,
+        streamspot_files.bootstrap,
         chunk_length=5,
         par=2,
         snapshot_dir=str(tmp_path / "snaps"),
@@ -91,15 +92,15 @@ def test_run_streamspot_reference_fixture(tmp_path):
     assert res["metrics"] is not None and len(res["metrics"]) > 0
 
 
-def test_cli_rejects_empty_dataset():
+def test_cli_rejects_empty_dataset(streamspot_files):
     import pytest
 
     from sbustreamspot_core_ray.cli import run_streamspot
 
     with pytest.raises(SystemExit):
         run_streamspot(
-            "/root/reference/test_edges.txt",
-            "/root/reference/test_bootstrap_clusters.txt",
+            streamspot_files.edges,
+            streamspot_files.bootstrap,
             chunk_length=5,
             par=2,
             dataset="gfc",  # fixture gids are all scenario 0 -> filtered out

@@ -2,6 +2,8 @@
 (FIXTURES.md §2; expected values hand-computed from the F1/H1/H4 semantics
 documented in SURVEY.md §2.3-2.4)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,7 @@ def test_isolated_anti_join():
     assert m == {1: False, 2: True}
 
 
-def test_read_streamspot_tsv_matches_fixture():
+def test_read_streamspot_tsv_matches_fixture(streamspot_files):
     """S1: the native TSV reader on the reference's own sample file must
     reproduce the inlined fixture table exactly (including seq order)."""
     from sbustreamspot_core_ray.sources.edges import (
@@ -129,10 +131,52 @@ def test_read_streamspot_tsv_matches_fixture():
         streamspot_fixture_table,
     )
 
-    ds = read_streamspot_tsv("/root/reference/test_edges.txt")
+    ds = read_streamspot_tsv(streamspot_files.edges)
     got = ds.to_pandas().sort_values("seq").reset_index(drop=True)
     want = streamspot_fixture_table().to_pandas()
     assert got.equals(want)
+
+
+def test_read_bootstrap_clusters_matches_fixture(streamspot_files):
+    """S2: the committed bootstrap file parses to the documented 2-cluster
+    fixture (FIXTURES.md §3)."""
+    from sbustreamspot_core_ray.sources.bootstrap import (
+        fixture_bootstrap,
+        read_bootstrap_clusters,
+    )
+
+    got = read_bootstrap_clusters(streamspot_files.bootstrap)
+    assert got == fixture_bootstrap()
+
+
+# Provenance: where a checkout of the reference implementation is available
+# (STREAMSPOT_REFERENCE_DIR names the directory holding its sample files),
+# the committed copies must parse to exactly what the originals parse to.
+_REFERENCE_DIR = os.environ.get("STREAMSPOT_REFERENCE_DIR", "")
+_REF_EDGES = os.path.join(_REFERENCE_DIR, "test_edges.txt")
+_REF_BOOTSTRAP = os.path.join(_REFERENCE_DIR, "test_bootstrap_clusters.txt")
+
+
+@pytest.mark.skipif(
+    not (
+        _REFERENCE_DIR
+        and os.path.exists(_REF_EDGES)
+        and os.path.exists(_REF_BOOTSTRAP)
+    ),
+    reason="reference sample files not present (set STREAMSPOT_REFERENCE_DIR)",
+)
+def test_committed_samples_match_reference(streamspot_files):
+    from sbustreamspot_core_ray.sources.bootstrap import read_bootstrap_clusters
+    from sbustreamspot_core_ray.sources.edges import read_streamspot_tsv
+
+    def edges(path):
+        df = read_streamspot_tsv(path).to_pandas()
+        return df.sort_values("seq").reset_index(drop=True)
+
+    assert edges(streamspot_files.edges).equals(edges(_REF_EDGES))
+    assert read_bootstrap_clusters(
+        streamspot_files.bootstrap
+    ) == read_bootstrap_clusters(_REF_BOOTSTRAP)
 
 
 def test_scenario_presets():
